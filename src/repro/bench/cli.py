@@ -6,7 +6,7 @@ Usage::
     python -m repro.bench fig5   [--scale ...]
     python -m repro.bench table1 [--scale ...]
     python -m repro.bench fig6   [--scale ...]
-    python -m repro.bench fig7
+    python -m repro.bench fig7   [--scale ...]
     python -m repro.bench fig8   [--scale ...]
     python -m repro.bench ablations [--scale ...]
     python -m repro.bench batch
@@ -47,6 +47,7 @@ from typing import Dict
 
 from ..obs import disable_metrics, enable_metrics, export_metrics, get_registry
 from .experiments import (
+    PAPER_MODEL_SIZES,
     run_adaptive_parameter_ablation,
     run_backend_scaling,
     run_batch_scaling,
@@ -167,6 +168,18 @@ BACKEND_SCALE = {
 #: Trajectory file the ``backends`` experiment writes next to the report
 #: so perf regressions are diffable across PRs.
 BACKENDS_JSON = "BENCH_backends.json"
+
+#: Per-scale parameters for the ``fig7`` runtime sweep.  Every scale
+#: runs the generated device kernels on each model size to read the
+#: modelled clock, so wall time grows with ``sizes`` x ``queries``; only
+#: ``paper`` sweeps the full 131072-row range of the figure.
+FIG7_SCALE = {
+    "smoke": dict(sizes=(1024, 4096, 16384), queries=10, data_rows=20_000),
+    "small": dict(
+        sizes=(1024, 4096, 16384, 65536), queries=25, data_rows=70_000
+    ),
+    "paper": dict(sizes=PAPER_MODEL_SIZES, queries=100, data_rows=100_000),
+}
 
 #: Per-scale parameters for the ``chaos`` experiment.
 CHAOS_SCALE = {
@@ -315,7 +328,9 @@ def run_experiment(
         report = render_model_size(result)
         title = "Figure 6 - estimation quality with growing model size"
     elif name == "fig7":
-        report = render_runtime(run_runtime_scaling(progress=progress))
+        report = render_runtime(
+            run_runtime_scaling(progress=progress, **FIG7_SCALE[scale_name])
+        )
         title = "Figure 7 - estimator runtime with growing model size"
     elif name == "fig8":
         sections = []

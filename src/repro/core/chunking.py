@@ -1,51 +1,42 @@
 """Chunk-budget policy for the memory-bounded evaluation paths.
 
-The batched estimation kernels of :mod:`repro.core.estimator` never
-materialise a full ``(q, s, d)`` intermediate: they walk the query batch
-in chunks sized so each per-dimension ``(b, s)`` float64 block stays
-cache-resident.  Historically the chunk budgets were hard-coded module
-constants (``131_072`` elements for the batch paths, ``4_000_000`` for
-:meth:`~repro.core.estimator.KernelDensityEstimator.density`); this
-module makes them a single tunable policy so execution backends and
-benchmarks can adjust chunking without editing source.
+The batched estimation kernels of :mod:`repro.core.estimator`, its
+``density()`` and the pair kernels of :mod:`repro.core.join` never
+materialise a full pairwise intermediate: they walk their input in
+chunks sized so each float64 working block stays cache-resident.  This
+module is the one tunable budget they all share, so execution backends
+and benchmarks can adjust chunking without editing source.
 
-Resolution order for the batch budget:
+Resolution order, on every call:
 
 1. an explicit :func:`set_chunk_budget` call,
 2. the ``REPRO_CHUNK_BUDGET`` environment variable (elements),
 3. an L2-cache-derived default: ``l2_bytes // 16`` elements, i.e. two
-   float64 ``(b, s)`` working blocks per L2 slice (the running product
-   and the incoming per-dimension masses), read from sysfs on Linux and
-   falling back to a 2 MiB L2 (which yields the historical ``131_072``).
+   float64 working blocks per L2 slice (the running product and the
+   incoming per-dimension masses), read from sysfs on Linux and falling
+   back to a 2 MiB L2 (which yields ``131_072``).  The sysfs probe runs
+   once per process.
 
-The density budget scales proportionally (the historical ratio of the
-two constants, ``x32``) unless overridden explicitly.
-
-Chunk sizes never change results — every batched path computes each
-query row independently and reduces along the sample axis only — so this
-is purely a performance knob.
+Chunk sizes never change results beyond summation order — every chunked
+path computes each row independently and reduces along the sample axis
+only — so this is purely a performance knob.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Optional
 
 __all__ = [
-    "DENSITY_BUDGET_RATIO",
     "default_chunk_budget",
     "detect_l2_cache_bytes",
     "get_chunk_budget",
-    "get_density_chunk_budget",
     "set_chunk_budget",
 ]
 
-#: Environment override (batch budget, in ``(b, s, d)`` float64 elements).
+#: Environment override (chunk budget, in float64 elements).
 ENV_VAR = "REPRO_CHUNK_BUDGET"
-
-#: Historical ratio between the ``density()`` chunk budget (4_000_000)
-#: and the batch budget (131_072), kept so one knob scales both paths.
-DENSITY_BUDGET_RATIO = 32
 
 #: Fallback L2 size when the platform exposes no cache topology.
 _FALLBACK_L2_BYTES = 2 * 1024 * 1024
@@ -58,8 +49,12 @@ _MAX_BUDGET = 8_388_608
 _override: Optional[int] = None
 
 
+@functools.lru_cache(maxsize=None)
 def detect_l2_cache_bytes() -> Optional[int]:
-    """Best-effort L2 data-cache size in bytes (``None`` when unknown)."""
+    """Best-effort L2 data-cache size in bytes (``None`` when unknown).
+
+    Memoised: the sysfs probe runs once per process.
+    """
     base = "/sys/devices/system/cpu/cpu0/cache"
     try:
         indexes = sorted(os.listdir(base))
@@ -89,13 +84,13 @@ def detect_l2_cache_bytes() -> Optional[int]:
 
 
 def default_chunk_budget() -> int:
-    """The L2-derived (or fallback) batch chunk budget, in elements."""
+    """The L2-derived (or fallback) chunk budget, in elements."""
     l2 = detect_l2_cache_bytes() or _FALLBACK_L2_BYTES
     return int(min(_MAX_BUDGET, max(_MIN_BUDGET, l2 // 16)))
 
 
 def get_chunk_budget() -> int:
-    """Current batch chunk budget (``(b, s, d)`` elements per chunk)."""
+    """Current chunk budget (float64 elements per working block)."""
     if _override is not None:
         return _override
     env = os.environ.get(ENV_VAR)
@@ -112,17 +107,11 @@ def get_chunk_budget() -> int:
     return default_chunk_budget()
 
 
-def get_density_chunk_budget() -> int:
-    """Chunk budget for ``density()``'s ``(n, s, d)`` intermediates."""
-    return get_chunk_budget() * DENSITY_BUDGET_RATIO
-
-
 def set_chunk_budget(elements: Optional[int]) -> None:
     """Override the chunk budget process-wide; ``None`` restores defaults.
 
-    The value is the soft cap on the batched paths' per-chunk
-    ``(b, s, d)`` float64 element count; the ``density()`` budget scales
-    with it by :data:`DENSITY_BUDGET_RATIO`.
+    The value is the soft cap on the float64 element count of one
+    working block of every chunked path.
     """
     global _override
     if elements is None:

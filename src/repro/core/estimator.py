@@ -40,10 +40,10 @@ from .state import ModelState
 __all__ = ["KernelDensityEstimator"]
 
 #: Legacy override for the per-chunk ``(b, s, d)`` element cap of the
-#: batched evaluation paths.  ``None`` (the default) defers to the
-#: tunable policy of :mod:`repro.core.chunking` (env override +
-#: L2-cache-derived default); setting an integer here pins the budget
-#: for this module, which tests use to force tiny chunks.
+#: batched evaluation paths and ``density()``.  ``None`` (the default)
+#: defers to the tunable policy of :mod:`repro.core.chunking` (env
+#: override + L2-cache-derived default); setting an integer here pins
+#: the budget for this module, which tests use to force tiny chunks.
 _BATCH_ELEMENT_BUDGET: Optional[int] = None
 
 
@@ -620,8 +620,7 @@ class KernelDensityEstimator:
         # (n, s, d) standardised distances; evaluated chunk-wise to bound memory.
         out = np.empty(points.shape[0], dtype=np.float64)
         norm = float(np.prod(h)) * self.sample_size
-        budget = chunking.get_density_chunk_budget()
-        chunk = max(1, budget // max(1, self.sample_size * self.dimensions))
+        chunk = self._batch_chunk()
         for start in range(0, points.shape[0], chunk):
             block = points[start : start + chunk]
             z = (block[:, None, :] - self._sample[None, :, :]) / h

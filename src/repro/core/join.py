@@ -32,11 +32,12 @@ and the quantity the paper's joint-integral formulation reduces to.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import erf
 
-from .chunking import get_density_chunk_budget
+from .chunking import get_chunk_budget
 from .estimator import KernelDensityEstimator
 from .kernels import GaussianKernel
 
@@ -47,12 +48,19 @@ __all__ = [
 ]
 
 
-def _check_join_inputs(
+def _scaled_join_keys(
     left: KernelDensityEstimator,
     right: KernelDensityEstimator,
     left_keys: Sequence[int],
     right_keys: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a join; return both key columns times ``1/sqrt(2(h^2+g^2))``
+    and that per-key scale.
+
+    In scaled units a key difference ``x`` enters the Gaussian pair
+    density as ``exp(-x^2)`` and the normal CDF as ``erf``, so the pair
+    kernels need no per-pair division.
+    """
     left_keys = np.asarray(left_keys, dtype=np.intp)
     right_keys = np.asarray(right_keys, dtype=np.intp)
     if left_keys.size == 0 or left_keys.size != right_keys.size:
@@ -67,7 +75,41 @@ def _check_join_inputs(
         raise ValueError(
             "closed-form join integrals require Gaussian kernels"
         )
-    return left_keys, right_keys
+    h = left.bandwidth[left_keys]
+    g = right.bandwidth[right_keys]
+    scale = 1.0 / np.sqrt(2.0 * (h * h + g * g))
+    t = left.sample[:, left_keys] * scale
+    return t, right.sample[:, right_keys] * scale, scale
+
+
+def _pair_mean(
+    t: np.ndarray, u: np.ndarray, buffers: int, terms: Callable
+) -> float:
+    """Mean of ``terms`` over all pairs of rows of ``t`` and ``u``.
+
+    Left rows are taken in blocks of ``b``, so that one ``(b, s_S)``
+    float64 block fits the chunk budget of :mod:`repro.core.chunking`.
+    ``terms(block, u, *work)`` fills ``buffers`` such blocks with
+    ``out=`` ufuncs and returns the one holding the per-pair terms; the
+    blocks are allocated once and reused, so they stay cache-resident.
+    """
+    rows = max(1, min(t.shape[0], get_chunk_budget() // u.shape[0]))
+    work = np.empty((buffers, rows, u.shape[0]), dtype=np.float64)
+    total = 0.0
+    for start in range(0, t.shape[0], rows):
+        block = t[start : start + rows]
+        total += float(terms(block, u, *work[:, : block.shape[0]]).sum())
+    return total / (t.shape[0] * u.shape[0])
+
+
+def _gaussian_terms(block, u, out, diff):
+    """``exp(-|t - u|^2)`` per pair, in scaled key units."""
+    np.subtract(block[:, 0, None], u[:, 0], out=out)
+    np.square(out, out=out)
+    for k in range(1, block.shape[1]):
+        np.subtract(block[:, k, None], u[:, k], out=diff)
+        out += np.square(diff, out=diff)
+    return np.exp(np.negative(out, out=out), out=out)
 
 
 def band_join_selectivity(
@@ -93,38 +135,27 @@ def band_join_selectivity(
         Band half-width, scalar or one per key pair.  Must be positive —
         use :func:`equi_join_density` for the equality limit.
     """
-    left_keys, right_keys = _check_join_inputs(
-        left, right, left_keys, right_keys
-    )
-    epsilon = np.broadcast_to(
-        np.asarray(epsilon, dtype=np.float64), left_keys.shape
-    )
+    t, u, scale = _scaled_join_keys(left, right, left_keys, right_keys)
+    epsilon = np.broadcast_to(np.asarray(epsilon, float), scale.shape)
     if np.any(epsilon <= 0):
         raise ValueError("epsilon must be positive (see equi_join_density)")
+    half = epsilon * scale
 
-    t = left.sample[:, left_keys]      # (s_R, k)
-    u = right.sample[:, right_keys]    # (s_S, k)
-    h = left.bandwidth[left_keys]
-    g = right.bandwidth[right_keys]
-    sigma = np.sqrt(h * h + g * g)     # per-key difference std
+    def band_terms(block, u, out, diff, upper):
+        # Per key, Phi((eps - d)/sigma) - Phi((-eps - d)/sigma) is
+        # (erf(e - x) + erf(e + x)) / 2 in scaled units; the 2^-k is
+        # applied once to the mean.
+        for k in range(block.shape[1]):
+            x = out if k == 0 else diff
+            np.subtract(block[:, k, None], u[:, k], out=x)
+            erf(np.add(x, half[k], out=upper), out=upper)
+            erf(np.subtract(half[k], x, out=x), out=x)
+            x += upper
+            if k:
+                out *= x
+        return out
 
-    s_r, s_s = t.shape[0], u.shape[0]
-    kernel = GaussianKernel()
-    total = 0.0
-    # Pairwise work per chunk rides the L2-derived density budget — the
-    # same policy (set_chunk_budget / REPRO_CHUNK_BUDGET) as every other
-    # O(n*m) hot path; its default matches the historical 4M-pair budget.
-    chunk = max(1, get_density_chunk_budget() // max(1, s_s))
-    for start in range(0, s_r, chunk):
-        block = t[start : start + chunk]           # (b, k)
-        pair = np.ones((block.shape[0], s_s), dtype=np.float64)
-        for k in range(left_keys.size):
-            delta = block[:, k, None] - u[None, :, k]
-            z_high = (epsilon[k] - delta) / sigma[k]
-            z_low = (-epsilon[k] - delta) / sigma[k]
-            pair *= kernel.cdf(z_high) - kernel.cdf(z_low)
-        total += float(pair.sum())
-    return total / (s_r * s_s)
+    return _pair_mean(t, u, 3, band_terms) * 0.5 ** scale.size
 
 
 def equi_join_density(
@@ -148,30 +179,10 @@ def equi_join_density(
         \\int \\mathcal{N}(x; t, h^2) \\mathcal{N}(x; u, g^2) dx
         = \\mathcal{N}(t - u;\\, 0,\\, h^2 + g^2)
     """
-    left_keys, right_keys = _check_join_inputs(
-        left, right, left_keys, right_keys
-    )
-    t = left.sample[:, left_keys]
-    u = right.sample[:, right_keys]
-    h = left.bandwidth[left_keys]
-    g = right.bandwidth[right_keys]
-    variance = h * h + g * g
-
-    s_r, s_s = t.shape[0], u.shape[0]
-    log_norm = -0.5 * left_keys.size * math.log(2.0 * math.pi) - 0.5 * float(
-        np.log(variance).sum()
-    )
-    total = 0.0
-    # Same L2-derived pair budget as band_join_selectivity above.
-    chunk = max(1, get_density_chunk_budget() // max(1, s_s))
-    for start in range(0, s_r, chunk):
-        block = t[start : start + chunk]
-        exponent = np.zeros((block.shape[0], s_s), dtype=np.float64)
-        for k in range(left_keys.size):
-            delta = block[:, k, None] - u[None, :, k]
-            exponent -= delta * delta / (2.0 * variance[k])
-        total += float(np.exp(exponent + log_norm).sum())
-    return total / (s_r * s_s)
+    t, u, scale = _scaled_join_keys(left, right, left_keys, right_keys)
+    # N(0; 0, h^2 + g^2) per key is scale / sqrt(pi).
+    norm = float(np.prod(scale)) * math.pi ** (-0.5 * scale.size)
+    return _pair_mean(t, u, 2, _gaussian_terms) * norm
 
 
 def independence_band_join_selectivity(

@@ -18,6 +18,17 @@ class TestScales:
         assert len(paper["datasets"]) == 5
         assert len(paper["workloads"]) == 4
 
+    def test_fig7_scales(self):
+        """Only the paper scale runs the figure's full 100-query,
+        1K-128K sweep; smoke stays small enough for tier-1."""
+        from repro.bench.cli import FIG7_SCALE
+        from repro.bench.experiments import PAPER_MODEL_SIZES
+
+        assert set(FIG7_SCALE) == set(SCALES)
+        assert FIG7_SCALE["paper"]["sizes"] == PAPER_MODEL_SIZES
+        assert FIG7_SCALE["paper"]["queries"] == 100
+        assert max(FIG7_SCALE["smoke"]["sizes"]) <= 16384
+
     def test_scales_ordered_by_fidelity(self):
         assert (
             SCALES["smoke"]["repetitions"]
@@ -44,8 +55,10 @@ class TestCLI:
         assert "all" in EXPERIMENTS
 
     def test_fig7_smoke_end_to_end(self):
-        """fig7 is pure cost-model arithmetic, cheap enough for a unit
-        test; it exercises the whole run_experiment plumbing."""
+        """fig7 runs the generated device kernels on each model size to
+        read the modelled clock; the smoke scale keeps the sizes small
+        enough for a unit test.  It exercises the whole run_experiment
+        plumbing."""
         report = run_experiment("fig7", "smoke", progress=False)
         assert "Figure 7" in report
         assert "STHoles" in report

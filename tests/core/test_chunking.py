@@ -15,8 +15,10 @@ from repro.geometry import QueryBatch
 
 @pytest.fixture(autouse=True)
 def _restore_budget():
+    chunking.detect_l2_cache_bytes.cache_clear()
     yield
     set_chunk_budget(None)
+    chunking.detect_l2_cache_bytes.cache_clear()
 
 
 class TestPolicy:
@@ -53,9 +55,26 @@ class TestPolicy:
         with pytest.raises(ValueError, match="positive"):
             set_chunk_budget(0)
 
-    def test_density_budget_scales(self):
-        set_chunk_budget(1000)
-        assert chunking.get_density_chunk_budget() == 32_000
+    def test_l2_probe_runs_once(self, monkeypatch):
+        """After the first call the sysfs probe is never repeated, yet
+        the explicit and environment overrides still win on every call."""
+        monkeypatch.delenv(chunking.ENV_VAR, raising=False)
+        budget = get_chunk_budget()
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("L2 probe ran again")
+
+        monkeypatch.setattr(chunking.os, "listdir", unavailable)
+        monkeypatch.setattr(chunking, "open", unavailable, raising=False)
+        assert get_chunk_budget() == budget
+        assert chunking.default_chunk_budget() == budget
+        set_chunk_budget(321)
+        assert get_chunk_budget() == 321
+        set_chunk_budget(None)
+        monkeypatch.setenv(chunking.ENV_VAR, "4096")
+        assert get_chunk_budget() == 4096
+        monkeypatch.delenv(chunking.ENV_VAR)
+        assert get_chunk_budget() == budget
 
     def test_l2_detection_type(self):
         l2 = chunking.detect_l2_cache_bytes()
